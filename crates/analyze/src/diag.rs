@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dmac_core::json::JsonObj;
+use dmac_cluster::json::JsonObj;
 use dmac_lang::Span;
 
 /// How serious a diagnostic is. `Error` diagnostics reject a script at

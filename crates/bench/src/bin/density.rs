@@ -19,7 +19,7 @@
 //! than 30% at the sparsest setting.
 
 use dmac_bench::{fmt_sec, header, timed, LOCAL_THREADS, WORKERS};
-use dmac_core::json::JsonObj;
+use dmac_cluster::json::JsonObj;
 use dmac_core::planner::PlannerConfig;
 use dmac_core::Session;
 use dmac_data::{powerlaw_graph, row_normalize};

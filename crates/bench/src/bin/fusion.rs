@@ -27,8 +27,8 @@
 
 use dmac_apps::{Gnmf, PageRank};
 use dmac_bench::{fmt_sec, header, timed, LOCAL_THREADS, WORKERS};
+use dmac_cluster::json::JsonObj;
 use dmac_core::engine::ExecReport;
-use dmac_core::json::JsonObj;
 use dmac_core::planner::PlannerConfig;
 use dmac_core::Session;
 use dmac_data::{powerlaw_graph, uniform_sparse};

@@ -21,7 +21,7 @@
 
 use dmac_apps::{Gnmf, PageRank};
 use dmac_bench::{fmt_bytes, header, LOCAL_THREADS, WORKERS};
-use dmac_core::json::JsonObj;
+use dmac_cluster::json::JsonObj;
 use dmac_core::planner::PlannerConfig;
 use dmac_core::store::StoreStats;
 use dmac_core::{Session, SharedStore};

@@ -10,7 +10,7 @@
 //! falls below 50%.
 
 use dmac_bench::{fmt_sec, header};
-use dmac_core::json::JsonObj;
+use dmac_cluster::json::JsonObj;
 use dmac_serve::smoke::{run_smoke, SmokeConfig};
 use dmac_serve::{Server, ServerConfig};
 
@@ -65,7 +65,7 @@ fn main() {
         .map(|&c| run_scale(c, &mut failures))
         .collect();
 
-    let mut arr = dmac_core::json::JsonArr::new();
+    let mut arr = dmac_cluster::json::JsonArr::new();
     for r in &runs {
         arr = arr.raw(r);
     }

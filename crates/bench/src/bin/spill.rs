@@ -20,8 +20,8 @@
 
 use dmac_apps::Gnmf;
 use dmac_bench::{fmt_bytes, fmt_sec, header, timed, LOCAL_THREADS, WORKERS};
+use dmac_cluster::json::JsonObj;
 use dmac_cluster::{CrashPoint, FaultPlan};
-use dmac_core::json::JsonObj;
 use dmac_core::{CoreError, Session, SharedStore};
 use dmac_data::uniform_sparse;
 use dmac_matrix::BlockedMatrix;

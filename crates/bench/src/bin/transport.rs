@@ -1,48 +1,50 @@
-//! Transport data-plane benchmark: the binary peer-to-peer pipeline vs
-//! the legacy hex-JSON coordinator star, on **4 real `dmac-workerd`
-//! processes**.
+//! Transport data-plane benchmark: GNMF and PageRank on **4 real
+//! `dmac-workerd` processes**, over the one socket data plane — `DMB1`
+//! binary tile frames, direct worker-to-worker tile pushes driven by
+//! coordinator routing plans, and pipelined per-stage dispatch.
 //!
-//! GNMF and PageRank each run three times — once on the in-process
-//! simulator for the oracle bits, once per socket data plane:
+//! Each app runs twice: once on the in-process simulator for the oracle
+//! bits, once on the socket cluster. Results land in
+//! `BENCH_transport.json`. The run exits non-zero (and fails
+//! `scripts/verify.sh`) if, for either app:
 //!
-//! * **baseline** — hex-JSON tiles, every cross-host tile relayed
-//!   through the coordinator, one blocking round-trip per command (the
-//!   wire format this repo shipped before the binary data plane);
-//! * **binary+p2p** — `DMB1` binary tile frames, direct worker-to-worker
-//!   tile pushes driven by coordinator routing plans, and pipelined
-//!   per-stage dispatch (the defaults).
+//! * the total bytes on all links (coordinator frames + peer-link
+//!   frames, heartbeats included) exceed the app's pinned cap,
+//! * any tile byte crosses the coordinator (`relay_bytes != 0`), or
+//! * the socket run differs from the simulator by a single bit.
 //!
-//! Results land in `BENCH_transport.json`. The run exits non-zero (and
-//! fails `scripts/verify.sh`) if, for either app:
-//!
-//! * the binary+p2p plane ships **more than 60%** of the baseline's
-//!   total wire bytes (the headline claim is a ≥40% cut),
-//! * any tile byte crosses the coordinator relay in p2p mode
-//!   (`relay_bytes != 0`), or
-//! * either socket run differs from the simulator by a single bit.
+//! The caps are 60% of what the retired hex-JSON coordinator-star plane
+//! shipped for the same runs (475,533 B for GNMF, 133,963 B for
+//! PageRank): the bound the binary peer-to-peer plane was first gated
+//! at, now fixed in bytes.
 
 use dmac_apps::{Gnmf, PageRank};
 use dmac_bench::{fmt_bytes, fmt_sec, header, timed};
-use dmac_cluster::{SocketOptions, TransportStats};
-use dmac_core::json::JsonObj;
+use dmac_cluster::json::JsonObj;
+use dmac_cluster::SocketOptions;
 use dmac_core::Session;
 use dmac_matrix::BlockedMatrix;
 
 const WORKERS: usize = 4;
 const BLOCK: usize = 16;
 
-fn session(socket: Option<SocketOptions>) -> Session {
+/// Wire-byte cap for GNMF: 60% of the hex-JSON star's 475,533 B.
+const GNMF_WIRE_CAP: u64 = 285_319;
+/// Wire-byte cap for PageRank: 60% of the hex-JSON star's 133,963 B.
+const PAGERANK_WIRE_CAP: u64 = 80_377;
+
+fn session(socket: bool) -> Session {
     let b = Session::builder()
         .workers(WORKERS)
         .local_threads(2)
         .block_size(BLOCK)
         .seed(11);
-    match socket {
-        Some(opts) => b
-            .socket_transport(opts)
+    if socket {
+        b.socket_transport(SocketOptions::default())
             .try_build()
-            .expect("4 dmac-workerd processes must launch"),
-        None => b.build(),
+            .expect("4 dmac-workerd processes must launch")
+    } else {
+        b.build()
     }
 }
 
@@ -50,48 +52,17 @@ fn bits(m: BlockedMatrix) -> Vec<u64> {
     m.to_dense().data().iter().map(|x| x.to_bits()).collect()
 }
 
-fn baseline_opts() -> SocketOptions {
-    SocketOptions {
-        binary: false,
-        peer_exchange: false,
-        pipeline: false,
-        ..SocketOptions::default()
-    }
-}
-
-struct ConfigRun {
-    stats: TransportStats,
-    wall: f64,
-}
-
-impl ConfigRun {
-    /// Total bytes on all links: coordinator frames + peer-link frames.
-    fn wire_total(&self) -> u64 {
-        self.stats.frame_bytes + self.stats.peer_bytes
-    }
-
-    fn json(&self) -> String {
-        JsonObj::new()
-            .u64("wire_bytes", self.wire_total())
-            .u64("frame_bytes", self.stats.frame_bytes)
-            .u64("peer_bytes", self.stats.peer_bytes)
-            .u64("relay_bytes", self.stats.relay_bytes)
-            .u64("rounds", self.stats.rounds)
-            .f64("wall_sec", self.wall)
-            .build()
-    }
-}
-
-/// Run one app on one socket data plane, checking bits against the
-/// simulator oracle.
-fn run_config(
+/// Run one app on the simulator and on sockets, apply the gates, and
+/// return the app's JSON record.
+fn bench_app(
     name: &str,
-    opts: SocketOptions,
+    cap: u64,
     run: &dyn Fn(&mut Session) -> Vec<u64>,
-    want: &[u64],
     failures: &mut Vec<String>,
-) -> ConfigRun {
-    let mut s = session(Some(opts));
+) -> String {
+    let want = run(&mut session(false));
+
+    let mut s = session(true);
     let (got, wall) = timed(|| run(&mut s));
     if got != want {
         failures.push(format!("{name}: socket result diverged from simulator"));
@@ -100,66 +71,41 @@ fn run_config(
     if let Err(e) = s.shutdown_transport() {
         failures.push(format!("{name}: workers leaked past shutdown: {e}"));
     }
-    ConfigRun { stats, wall }
-}
 
-/// Benchmark one app across both data planes and apply the gates.
-fn bench_app(
-    name: &str,
-    run: &dyn Fn(&mut Session) -> Vec<u64>,
-    failures: &mut Vec<String>,
-) -> String {
-    let mut sim = session(None);
-    let want = run(&mut sim);
-
-    let base = run_config(
-        &format!("{name} baseline"),
-        baseline_opts(),
-        run,
-        &want,
-        failures,
-    );
-    let fast = run_config(
-        &format!("{name} binary+p2p"),
-        SocketOptions::default(),
-        run,
-        &want,
-        failures,
-    );
-
-    let ratio = fast.wire_total() as f64 / base.wire_total() as f64;
-    if ratio > 0.6 {
+    let wire = stats.frame_bytes + stats.peer_bytes;
+    if wire > cap {
         failures.push(format!(
-            "{name}: binary+p2p ships {:.0}% of baseline wire bytes (gate: <=60%)",
-            ratio * 100.0
+            "{name}: shipped {wire} wire bytes (gate: <= {cap})"
         ));
     }
-    if fast.stats.relay_bytes != 0 {
+    if stats.relay_bytes != 0 {
         failures.push(format!(
-            "{name}: {} tile bytes crossed the coordinator relay in p2p mode",
-            fast.stats.relay_bytes
+            "{name}: {} tile bytes crossed the coordinator",
+            stats.relay_bytes
         ));
     }
     println!(
-        "{name:9} baseline {:>9} in {:>7}   binary+p2p {:>9} in {:>7}   ({:.0}% of baseline bytes, {} vs {} rounds)",
-        fmt_bytes(base.wire_total()),
-        fmt_sec(base.wall),
-        fmt_bytes(fast.wire_total()),
-        fmt_sec(fast.wall),
-        ratio * 100.0,
-        fast.stats.rounds,
-        base.stats.rounds,
+        "{name:9} {:>9} on the wire in {:>7}   ({:.0}% of the {} cap, {} rounds)",
+        fmt_bytes(wire),
+        fmt_sec(wall),
+        wire as f64 / cap as f64 * 100.0,
+        fmt_bytes(cap),
+        stats.rounds,
     );
 
     JsonObj::new()
-        .raw("baseline", &base.json())
-        .raw("binary_p2p", &fast.json())
-        .f64("wire_ratio", ratio)
+        .u64("wire_bytes", wire)
+        .u64("wire_cap", cap)
+        .u64("frame_bytes", stats.frame_bytes)
+        .u64("peer_bytes", stats.peer_bytes)
+        .u64("relay_bytes", stats.relay_bytes)
+        .u64("rounds", stats.rounds)
+        .f64("wall_sec", wall)
         .build()
 }
 
 fn main() {
-    header("Transport data plane — binary+p2p vs hex-JSON star, 4 real workers");
+    header("Transport data plane — binary tiles, peer-to-peer, pipelined; 4 real workers");
     let mut failures = Vec::new();
 
     let gnmf = Gnmf {
@@ -172,6 +118,7 @@ fn main() {
     let v = dmac_data::uniform_sparse(gnmf.rows, gnmf.cols, gnmf.sparsity, BLOCK, 5);
     let gnmf_json = bench_app(
         "gnmf",
+        GNMF_WIRE_CAP,
         &|s| {
             let (_, h) = gnmf.run(s, v.clone()).expect("gnmf run");
             bits(s.value(h.w).unwrap())
@@ -189,6 +136,7 @@ fn main() {
     };
     let pagerank_json = bench_app(
         "pagerank",
+        PAGERANK_WIRE_CAP,
         &|s| {
             let (_, h) = pagerank.run(s, &g).expect("pagerank run");
             bits(s.value(h.rank).unwrap())
@@ -212,5 +160,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("transport bench: OK (>=40% wire-byte cut, zero relay bytes in p2p, bit-exact)");
+    println!("transport bench: OK (wire bytes under the pinned caps, zero relay bytes, bit-exact)");
 }

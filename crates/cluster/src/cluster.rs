@@ -1217,51 +1217,8 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Unary per-tile map (arbitrary closure); local on every worker,
-    /// keeps the scheme. Closures cannot travel over a wire, so this is
-    /// rejected on physical transports — use [`Cluster::unary`] for the
-    /// mirrorable scalar operators.
-    pub fn map_tiles(
-        &mut self,
-        m: &DistMatrix,
-        f: impl Fn(&Block) -> Block + Sync,
-    ) -> Result<DistMatrix> {
-        if self.transport.is_physical() {
-            return Err(ClusterError::Unsupported(
-                "map_tiles closures cannot be mirrored on a physical transport; use Cluster::unary",
-            ));
-        }
-        self.op_entry("map")?;
-        let st = self.span_open();
-        let n = self.config.workers;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<((usize, usize), Arc<Block>)> = m
-                .worker_blocks(w)
-                .iter()
-                .map(|(&k, t)| (k, Arc::clone(t)))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |(k, tile)| {
-                (k, Arc::new(f(&tile)))
-            });
-            for (k, tile) in results {
-                stores[w].insert(k, tile);
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        let blocks = stores.iter().map(HashMap::len).sum();
-        self.span_close(st, "map", String::new(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), m.scheme(), stores);
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
-    }
-
-    /// Unary per-tile scalar operator ([`UnaryTileOp`]): the mirrorable
-    /// subset of [`Cluster::map_tiles`]. Local on every worker, keeps the
-    /// scheme, works on every transport backend.
+    /// Unary per-tile scalar operator ([`UnaryTileOp`]). Local on every
+    /// worker, keeps the scheme, works on every transport backend.
     pub fn unary(&mut self, m: &DistMatrix, op: UnaryTileOp) -> Result<DistMatrix> {
         self.op_entry("map")?;
         let st = self.span_open();
@@ -1585,11 +1542,12 @@ mod tests {
     }
 
     #[test]
-    fn map_tiles_scales_everywhere() {
+    fn unary_scales_everywhere() {
         let mut cl = cluster(2);
         let a = sample(4, 4, 2);
         let da = cl.load(&a, PartitionScheme::Broadcast);
-        let c = cl.map_tiles(&da, |b| b.scale(3.0)).unwrap();
+        let c = cl.unary(&da, UnaryTileOp::Scale(3.0)).unwrap();
+        assert_eq!(c.scheme(), PartitionScheme::Broadcast);
         c.validate().unwrap();
         assert_eq!(c.to_blocked().unwrap().to_dense(), a.scale(3.0).to_dense());
     }

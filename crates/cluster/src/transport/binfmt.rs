@@ -1,5 +1,5 @@
-//! The binary tile message format (`DMB1`) negotiated by the real
-//! transport at membership time.
+//! The binary tile message format (`DMB1`): the only form in which the
+//! real transport ships tiles.
 //!
 //! A binary message rides the same length-prefixed envelope as JSON
 //! frames ([`crate::transport::frame`]); the two are distinguished by
@@ -35,7 +35,7 @@
 //! ```
 //!
 //! Decoding re-validates through [`DenseBlock::from_vec`] /
-//! [`CscBlock::from_csc`], exactly like the JSON path — a corrupt frame
+//! [`CscBlock::from_csc`], the blocks' own validating constructors — a corrupt frame
 //! cannot smuggle a malformed block into a store. All counts are
 //! bounds-checked against the remaining buffer *before* allocation, so
 //! an adversarial length cannot balloon memory.

@@ -28,10 +28,11 @@
 //!   different inputs), even the in-process backend cross-checks the
 //!   move-list capture.
 //! * [`socket::SocketTransport`] — a real multi-process cluster:
-//!   `dmac-workerd` children speaking length-prefixed JSON frames
-//!   ([`frame`]/[`wire`]) over TCP, with membership, heartbeats, and a
-//!   liveness timeout. Worker loss is detected here and fed back into
-//!   the cluster's existing lineage-recovery path.
+//!   `dmac-workerd` children speaking length-prefixed frames — JSON
+//!   control messages, binary `DMB1` tiles ([`frame`]/[`binfmt`]) — over
+//!   TCP, with direct worker-to-worker tile exchange, membership,
+//!   heartbeats, and a liveness timeout. Worker loss is detected here
+//!   and fed back into the cluster's existing lineage-recovery path.
 //!
 //! Values are identified across the boundary by the [`DistMatrix`]
 //! *resident id* (rid): fresh at every construction, shared by clones.
@@ -116,8 +117,8 @@ pub struct PartialDesc {
     pub bytes: u64,
 }
 
-/// Unary per-tile operators mirrorable on a real backend (the closure
-/// form, [`crate::Cluster::map_tiles`], cannot travel over a wire).
+/// Unary per-tile scalar operators. Each is a name plus one constant, so
+/// a real backend can ship it to worker processes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryTileOp {
     /// Multiply every cell by a constant.
@@ -175,17 +176,16 @@ pub struct TransportStats {
     pub heartbeats: u64,
     /// Primitives mirrored.
     pub ops: u64,
-    /// Tile payload bytes that transited the coordinator while relaying
-    /// cross-host moves (one inbound + one outbound leg per tile). Stays
-    /// 0 when direct worker-to-worker exchange is on — the bench gate
-    /// for the peer-to-peer data plane.
+    /// Tile payload bytes that transited the coordinator on a cross-host
+    /// move. Always 0 by construction: cross-host tiles travel only over
+    /// direct worker-to-worker links (see `peer_bytes`). Kept so reports
+    /// and benchmarks can state the zero.
     pub relay_bytes: u64,
     /// Framed bytes pushed over direct worker-to-worker links, as
     /// rolled up from per-edge receipts in `xferred` replies.
     pub peer_bytes: u64,
     /// Coordinator dispatch round-trips (one per write-all-then-read
-    /// exchange). With pipelining a whole stage costs one round; without
-    /// it, one per command.
+    /// exchange, so a whole stage costs one round).
     pub rounds: u64,
 }
 
@@ -200,8 +200,8 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// Backend name for diagnostics (`"sim"`, `"socket"`).
     fn name(&self) -> &'static str;
 
-    /// True for backends running real worker processes. Gates operations
-    /// that cannot be mirrored physically (closure-based `map_tiles`).
+    /// True for backends running real worker processes, whose state
+    /// [`Transport::gather`] can read back.
     fn is_physical(&self) -> bool {
         false
     }

@@ -6,38 +6,34 @@
 //! The coordinator binds `127.0.0.1:0` (the OS assigns the port), spawns
 //! one worker process per physical host, and each worker connects back
 //! and introduces itself with a `hello` frame advertising its peer
-//! listen address and codec support. After membership the coordinator
-//! negotiates the data plane with a `mode` command: the binary `DMB1`
-//! tile codec ([`super::binfmt`]) when every worker (and
-//! [`SocketOptions::binary`]) allows it, hex-JSON otherwise; and the
-//! peer address table for direct worker-to-worker exchange.
+//! listen address. After membership the coordinator sends every worker
+//! a `mode` command carrying the peer address table.
 //!
-//! Control traffic is a star — every command and reply crosses the
-//! coordinator — but with [`SocketOptions::peer_exchange`] on, *tile
-//! payload* for cross-host moves does not: the coordinator sends the
-//! source host an `xfer` routing plan and the worker pushes tiles
-//! straight to the destination's peer listener, rolling per-item byte
-//! receipts and per-edge frame stats up in its `xferred` reply. The
-//! coordinator's relay path (`collect` + `install`, metered as
-//! [`TransportStats::relay_bytes`]) remains as the negotiated fallback.
+//! There is one data plane. Control traffic is a star — every command
+//! and reply crosses the coordinator — but tile payload travels as
+//! binary `DMB1` sections ([`super::binfmt`]) and never transits the
+//! coordinator on a cross-host move: the coordinator sends the source
+//! host an `xfer` routing plan and the worker pushes tiles straight to
+//! the destination's peer listener, rolling per-item byte receipts and
+//! per-edge frame stats up in its `xferred` reply.
 //!
 //! ## Pipelined dispatch
 //!
-//! With [`SocketOptions::pipeline`] on, all commands of a stage are
-//! written to all hosts before any reply is read — a stage costs one
-//! round-trip ([`TransportStats::rounds`]) instead of `hosts ×
-//! primitives`. Every command carries a per-connection sequence number
-//! `"q"` which the worker echoes in its reply; after an aborted stage
-//! (worker loss mid-exchange) the coordinator discards stale-`q`
-//! replies, so the connection re-synchronises without draining logic.
+//! All commands of a stage are written to all hosts before any reply is
+//! read — a stage costs one round-trip ([`TransportStats::rounds`])
+//! instead of `hosts × primitives`. Every command carries a
+//! per-connection sequence number `"q"` which the worker echoes in its
+//! reply; after an aborted stage (worker loss mid-exchange) the
+//! coordinator discards stale-`q` replies, so the connection
+//! re-synchronises without draining logic.
 //!
 //! ## Liveness
 //!
-//! Each worker heartbeats every `heartbeat_ms` from a dedicated thread,
+//! Each worker heartbeats every [`HEARTBEAT_MS`] from a dedicated thread,
 //! so beats keep arriving while the worker is busy computing. The
 //! coordinator marks a host dead when its connection closes or errors,
 //! its process is reaped, or no heartbeat has been seen for
-//! `liveness_timeout_ms` — and surfaces it as
+//! [`LIVENESS_TIMEOUT_MS`] — and surfaces it as
 //! [`ClusterError::WorkerLost`], the same error injected faults produce,
 //! so the engine's lineage-recovery path handles real process death
 //! with no new code. A worker whose peer push fails reports `peerfail`
@@ -49,9 +45,9 @@
 //! Payload is metered per *logical* move (a tile whose logical owner
 //! changes is charged even when both workers share a host — matching the
 //! simulator's logical ledger), from the byte sizes workers report —
-//! identically for relayed, peer-pushed, and local-copy tiles, so
-//! `transport_bytes == wire_bytes` conformance is invariant under
-//! topology and codec. After every mirrored primitive the destination
+//! identically for peer-pushed and local-copy tiles, so
+//! `transport_bytes == wire_bytes` conformance does not depend on how
+//! workers share hosts. After every mirrored primitive the destination
 //! value is *sealed*: each host reports canonical per-shard checksums
 //! ([`wire::shard_checksum`]) that must equal the oracle's, so state
 //! divergence is caught at the primitive that caused it. Seals are only
@@ -81,27 +77,18 @@ use crate::transport::{
     MoveItem, PartialDesc, TileTransform, Transport, TransportStats, UnaryTileOp,
 };
 
-/// One coordinator-relayed tile, in source coordinates:
-/// `(src_w, dest_w, bi, bj)`.
-type RelayItem = (usize, usize, usize, usize);
+/// Worker heartbeat period (milliseconds), passed to every
+/// `dmac-workerd` as `--heartbeat-ms`.
+pub const HEARTBEAT_MS: u64 = 100;
 
-/// Tuning knobs for the socket backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A host with no heartbeat for this long (milliseconds) is declared
+/// dead. Workers use the same bound as their peer-link timeout.
+pub const LIVENESS_TIMEOUT_MS: u64 = 2000;
+
+/// Test hooks for the socket backend: each SIGKILLs a worker process at
+/// a chosen moment. All off by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SocketOptions {
-    /// Worker heartbeat period (milliseconds).
-    pub heartbeat_ms: u64,
-    /// A host with no heartbeat for this long is declared dead.
-    pub liveness_timeout_ms: u64,
-    /// Negotiate the binary `DMB1` tile codec (on by default). Off, or
-    /// with any worker not advertising support, tiles travel as
-    /// hex-in-JSON — the PR-7 wire format.
-    pub binary: bool,
-    /// Route cross-host tile moves directly worker-to-worker via `xfer`
-    /// plans (on by default). Off, they relay through the coordinator.
-    pub peer_exchange: bool,
-    /// Write all commands of a stage before reading any reply (on by
-    /// default). Off, every command is its own blocking round-trip.
-    pub pipeline: bool,
     /// Test hook: SIGKILL host `.0`'s process when the `.1`-th mirrored
     /// primitive begins, *without* marking it dead — detection must flow
     /// through the organic liveness machinery.
@@ -114,21 +101,6 @@ pub struct SocketOptions {
     /// `.1`-th exchange that carries `xfer` routing plans — while peer
     /// pushes toward (or from) it are in flight.
     pub kill_host_mid_xfer: Option<(usize, u64)>,
-}
-
-impl Default for SocketOptions {
-    fn default() -> Self {
-        SocketOptions {
-            heartbeat_ms: 100,
-            liveness_timeout_ms: 2000,
-            binary: true,
-            peer_exchange: true,
-            pipeline: true,
-            kill_host_after_ops: None,
-            kill_host_mid_stage: None,
-            kill_host_mid_xfer: None,
-        }
-    }
 }
 
 /// Incremental frame decoder over a non-blocking-ish stream. Buffers
@@ -191,8 +163,6 @@ struct Conn {
     seq: u64,
     /// Peer listener address advertised in the hello.
     peer: String,
-    /// Whether the worker advertised binary codec support.
-    bin: bool,
 }
 
 /// One outgoing command, sequence number still to be stamped.
@@ -216,18 +186,13 @@ impl Reply {
     }
 }
 
-/// Decode the tiles of a `collect` reply, either codec.
+/// Decode the tiles of a `collect` reply.
 fn reply_tiles(reply: &Reply) -> std::result::Result<Vec<(usize, usize, usize, Block)>, String> {
-    match &reply.body {
-        Some(body) => binfmt::decode_tiles(body),
-        None => {
-            let mut out = Vec::new();
-            for t in wire::field_arr(&reply.head, "tiles")? {
-                out.push(wire::decode_tile(t)?);
-            }
-            Ok(out)
-        }
-    }
+    let body = reply
+        .body
+        .as_deref()
+        .ok_or_else(|| "collect reply carries no tile body".to_string())?;
+    binfmt::decode_tiles(body)
 }
 
 /// Locate the `dmac-workerd` binary: `DMAC_WORKERD` env override, then
@@ -312,8 +277,6 @@ pub struct SocketTransport {
     known: HashSet<u64>,
     stats: TransportStats,
     opts: SocketOptions,
-    /// Negotiated at membership: binary tile codec on every link.
-    bin: bool,
     ops_done: u64,
     /// Pipelined exchanges completed (for the mid-stage kill hook).
     stages_done: u64,
@@ -328,7 +291,7 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Spawn `workers` worker processes and complete membership: bind
     /// port 0, launch children pointed back at the assigned port, wait
-    /// for every `hello`, then negotiate the data plane (`mode`).
+    /// for every `hello`, then hand out the peer address table (`mode`).
     pub fn launch(workers: usize, opts: SocketOptions) -> Result<SocketTransport> {
         let bin = locate_workerd()?;
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -348,7 +311,7 @@ impl SocketTransport {
                 .arg("--host-id")
                 .arg(h.to_string())
                 .arg("--heartbeat-ms")
-                .arg(opts.heartbeat_ms.to_string())
+                .arg(HEARTBEAT_MS.to_string())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .stderr(Stdio::inherit())
@@ -371,7 +334,7 @@ impl SocketTransport {
             }
         };
 
-        type Slot = (TcpStream, FrameReader, String, bool);
+        type Slot = (TcpStream, FrameReader, String);
         let deadline = Instant::now() + Duration::from_secs(15);
         let mut slots: Vec<Option<Slot>> = (0..workers).map(|_| None).collect();
         let mut accepted = 0usize;
@@ -437,8 +400,7 @@ impl SocketTransport {
                         .and_then(Json::as_str)
                         .unwrap_or("")
                         .to_string();
-                    let bin_ok = j.get("bin").and_then(Json::as_u64).unwrap_or(0) != 0;
-                    slots[h] = Some((stream, reader, peer, bin_ok));
+                    slots[h] = Some((stream, reader, peer));
                     accepted += 1;
                 }
                 _ => {
@@ -456,7 +418,7 @@ impl SocketTransport {
             .into_iter()
             .zip(children.iter_mut())
             .map(|(slot, child)| {
-                let (stream, reader, peer, bin_ok) = slot.expect("all slots filled");
+                let (stream, reader, peer) = slot.expect("all slots filled");
                 Conn {
                     stream,
                     reader,
@@ -465,21 +427,15 @@ impl SocketTransport {
                     alive: true,
                     seq: 0,
                     peer,
-                    bin: bin_ok,
                 }
             })
             .collect();
-        // Binary tiles only when the coordinator wants them AND every
-        // worker advertised support — otherwise the whole cluster falls
-        // back to hex-JSON, keeping the codec uniform per session.
-        let negotiated_bin = opts.binary && conns.iter().all(|c| c.bin);
         let mut me = SocketTransport {
             conns,
             assignment: (0..workers).collect(),
             known: HashSet::new(),
             stats: TransportStats::default(),
             opts,
-            bin: negotiated_bin,
             ops_done: 0,
             stages_done: 0,
             xfers_done: 0,
@@ -494,10 +450,8 @@ impl SocketTransport {
         for host in 0..workers {
             let cmd = JsonObj::new()
                 .str("t", "mode")
-                .u64("bin", u64::from(negotiated_bin))
-                .u64("p2p", u64::from(opts.peer_exchange))
                 .raw("peers", &peers)
-                .u64("timeout_ms", opts.liveness_timeout_ms);
+                .u64("timeout_ms", LIVENESS_TIMEOUT_MS);
             me.expect_ok(host, Outgoing::Json(cmd))?;
         }
         Ok(me)
@@ -536,7 +490,7 @@ impl SocketTransport {
     /// tolerating interleaved heartbeats, discarding stale replies from
     /// aborted stages, and watching the liveness deadline.
     fn recv_reply(&mut self, host: usize, want: u64) -> Result<Reply> {
-        let liveness = Duration::from_millis(self.opts.liveness_timeout_ms);
+        let liveness = Duration::from_millis(LIVENESS_TIMEOUT_MS);
         let reply = 'outer: {
             let stats = &mut self.stats;
             let conn = &mut self.conns[host];
@@ -635,8 +589,7 @@ impl SocketTransport {
         }
     }
 
-    /// One blocking round-trip (used for membership, shutdown, and the
-    /// star relay fallback).
+    /// One blocking round-trip (used for membership and shutdown).
     fn request(&mut self, host: usize, cmd: Outgoing) -> Result<Reply> {
         let seq = self.send_cmd(host, cmd)?;
         self.stats.rounds += 1;
@@ -644,9 +597,8 @@ impl SocketTransport {
     }
 
     /// Dispatch a whole stage: write every command to every host, then
-    /// collect the replies in order — one round-trip for the stage. With
-    /// pipelining disabled, degrades to sequential round-trips. Replies
-    /// are returned in command order.
+    /// collect the replies in order — one round-trip for the stage.
+    /// Replies are returned in command order.
     fn exchange(
         &mut self,
         label: &'static str,
@@ -654,13 +606,6 @@ impl SocketTransport {
     ) -> Result<Vec<Reply>> {
         if cmds.is_empty() {
             return Ok(Vec::new());
-        }
-        if !self.opts.pipeline {
-            let mut replies = Vec::with_capacity(cmds.len());
-            for (host, cmd) in cmds {
-                replies.push(self.request(host, cmd)?);
-            }
-            return Ok(replies);
         }
         let mut pending = Vec::with_capacity(cmds.len());
         for (host, cmd) in cmds {
@@ -731,61 +676,30 @@ impl SocketTransport {
         map.into_iter().collect()
     }
 
-    /// Chunk a batch of placed tiles into `install` commands respecting
-    /// the frame ceiling, in the negotiated codec.
-    fn install_cmds(&self, rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
+    /// Chunk a batch of placed tiles into binary `install` commands
+    /// respecting the frame ceiling.
+    fn install_cmds(rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
         let budget = (MAX_FRAME / 2) as usize;
+        let head = || JsonObj::new().str("t", "install").u64("rid", rid);
         let mut cmds = Vec::new();
-        if self.bin {
-            let mut body = vec![0u8; 4];
-            let mut count = 0u32;
-            for &(w, bi, bj, tile) in tiles {
-                let len = binfmt::tile_wire_len(tile);
-                if count > 0 && body.len() + len > budget {
-                    body[..4].copy_from_slice(&count.to_le_bytes());
-                    cmds.push(Outgoing::Bin(
-                        JsonObj::new().str("t", "install").u64("rid", rid),
-                        std::mem::replace(&mut body, vec![0u8; 4]),
-                    ));
-                    count = 0;
-                }
-                binfmt::push_tile(&mut body, w, bi, bj, tile);
-                count += 1;
-            }
-            if count > 0 {
+        let mut body = vec![0u8; 4];
+        let mut count = 0u32;
+        for &(w, bi, bj, tile) in tiles {
+            let len = binfmt::tile_wire_len(tile);
+            if count > 0 && body.len() + len > budget {
                 body[..4].copy_from_slice(&count.to_le_bytes());
                 cmds.push(Outgoing::Bin(
-                    JsonObj::new().str("t", "install").u64("rid", rid),
-                    body,
+                    head(),
+                    std::mem::replace(&mut body, vec![0u8; 4]),
                 ));
+                count = 0;
             }
-        } else {
-            let mut batch = JsonArr::new();
-            let mut size = 0usize;
-            let mut any = false;
-            for &(w, bi, bj, tile) in tiles {
-                let enc = wire::encode_tile(w, bi, bj, tile);
-                if any && size + enc.len() > budget {
-                    cmds.push(Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "install")
-                            .u64("rid", rid)
-                            .raw("tiles", &std::mem::take(&mut batch).build()),
-                    ));
-                    size = 0;
-                }
-                size += enc.len();
-                any = true;
-                batch = batch.raw(&enc);
-            }
-            if any {
-                cmds.push(Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "install")
-                        .u64("rid", rid)
-                        .raw("tiles", &batch.build()),
-                ));
-            }
+            binfmt::push_tile(&mut body, w, bi, bj, tile);
+            count += 1;
+        }
+        if count > 0 {
+            body[..4].copy_from_slice(&count.to_le_bytes());
+            cmds.push(Outgoing::Bin(head(), body));
         }
         cmds
     }
@@ -856,68 +770,6 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// Relay tiles of `rid` between hosts through the coordinator:
-    /// `collect` from the source, re-key/transform, `install` at the
-    /// destination. Returns the decoded source-tile sizes, in item
-    /// order. This is the star fallback (`peer_exchange: false`); the
-    /// relayed tile payload is metered as `relay_bytes`, one inbound and
-    /// one outbound leg per tile.
-    fn relay(
-        &mut self,
-        rid_in: u64,
-        rid_out: u64,
-        transform: TileTransform,
-        src_host: usize,
-        dest_host: usize,
-        items: &[RelayItem],
-    ) -> Result<Vec<u64>> {
-        let mut item_arr = JsonArr::new();
-        for &(src_w, _, bi, bj) in items {
-            item_arr = item_arr.raw(
-                &JsonObj::new()
-                    .u64("w", src_w as u64)
-                    .u64("bi", bi as u64)
-                    .u64("bj", bj as u64)
-                    .build(),
-            );
-        }
-        let cmd = JsonObj::new()
-            .str("t", "collect")
-            .u64("rid", rid_in)
-            .raw("items", &item_arr.build());
-        let reply = self.request(src_host, Outgoing::Json(cmd))?;
-        let tiles = reply_tiles(&reply).map_err(ClusterError::Protocol)?;
-        if tiles.len() != items.len() {
-            return Err(ClusterError::Protocol(format!(
-                "collect returned {} tiles for {} items",
-                tiles.len(),
-                items.len()
-            )));
-        }
-        let mut bytes = Vec::with_capacity(items.len());
-        let mut moved: Vec<(usize, usize, usize, Block)> = Vec::with_capacity(items.len());
-        for ((_, tbi, tbj, block), &(_, dest_w, bi, bj)) in tiles.into_iter().zip(items) {
-            if (tbi, tbj) != (bi, bj) {
-                return Err(ClusterError::Protocol(
-                    "collect returned tiles out of order".into(),
-                ));
-            }
-            bytes.push(block.actual_bytes() as u64);
-            let (di, dj) = transform.dest_key(bi, bj);
-            moved.push((dest_w, di, dj, transform.apply(&block)));
-        }
-        self.stats.relay_bytes += 2 * bytes.iter().sum::<u64>();
-        let refs: Vec<(usize, usize, usize, &Block)> = moved
-            .iter()
-            .map(|(w, bi, bj, t)| (*w, *bi, *bj, t))
-            .collect();
-        let cmds = self.install_cmds(rid_out, &refs);
-        for cmd in cmds {
-            self.expect_ok(dest_host, cmd)?;
-        }
-        Ok(bytes)
-    }
-
     /// Roll an `xferred` reply's per-edge receipts into the stats and
     /// return the per-item source-byte receipts.
     fn take_xferred(&mut self, host: usize, reply: &Reply) -> Result<Vec<u64>> {
@@ -976,7 +828,7 @@ impl Transport for SocketTransport {
         }
         let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
         for (host, tiles) in &per_host {
-            for cmd in self.install_cmds(m.rid(), tiles) {
+            for cmd in Self::install_cmds(m.rid(), tiles) {
                 cmds.push((*host, cmd));
             }
         }
@@ -1012,12 +864,10 @@ impl Transport for SocketTransport {
             TileTransform::Transpose => "transpose",
         };
         // Same-host moves run as worker-local copies. Cross-host moves
-        // are pushed worker-to-worker via `xfer` routing plans (or
-        // relayed through the coordinator in star fallback). Either way
-        // the *logical* metering below is identical to the oracle's.
+        // are pushed worker-to-worker via `xfer` routing plans. Either
+        // way the *logical* metering below is identical to the oracle's.
         let mut local: BTreeMap<usize, (Vec<&MoveItem>, JsonArr)> = BTreeMap::new();
         let mut xfer: BTreeMap<usize, (Vec<&MoveItem>, JsonArr)> = BTreeMap::new();
-        let mut cross: BTreeMap<(usize, usize), Vec<&MoveItem>> = BTreeMap::new();
         for mv in moves {
             let sh = self.assignment[mv.src_w];
             let dh = self.assignment[mv.dest_w];
@@ -1035,7 +885,7 @@ impl Transport for SocketTransport {
                         .u64("bj", mv.bj as u64)
                         .build(),
                 );
-            } else if self.opts.peer_exchange {
+            } else {
                 let entry = xfer
                     .entry(sh)
                     .or_insert_with(|| (Vec::new(), JsonArr::new()));
@@ -1050,8 +900,6 @@ impl Transport for SocketTransport {
                         .u64("dh", dh as u64)
                         .build(),
                 );
-            } else {
-                cross.entry((sh, dh)).or_default().push(mv);
             }
         }
         let mut payload = 0u64;
@@ -1129,15 +977,6 @@ impl Transport for SocketTransport {
                 v
             };
             tally(items, &bytes)?;
-        }
-        // Star fallback for cross-host moves.
-        for ((sh, dh), items) in cross {
-            let coords: Vec<RelayItem> = items
-                .iter()
-                .map(|mv| (mv.src_w, mv.dest_w, mv.bi, mv.bj))
-                .collect();
-            let bytes = self.relay(src.rid(), dest.rid(), transform, sh, dh, &coords)?;
-            tally(&items, &bytes)?;
         }
         self.seal_check(op, dest)?;
         self.known.insert(dest.rid());
@@ -1287,63 +1126,45 @@ impl Transport for SocketTransport {
 
         // Shuffle cross-host partials to the output owners, preserving
         // their source identity (the phase-2 combine is keyed by
-        // ascending source worker): one `xfer` round peer-to-peer, or
-        // relays in star fallback.
-        if self.opts.peer_exchange {
-            let mut per_src: BTreeMap<usize, JsonArr> = BTreeMap::new();
-            for p in partials {
-                let sh = self.assignment[p.src_w];
-                let dh = self.assignment[p.dest_w];
-                if sh != dh {
-                    let arr = per_src.entry(sh).or_default();
-                    let taken = std::mem::take(arr);
-                    *arr = taken.raw(
-                        &JsonObj::new()
-                            .u64("wi", p.src_w as u64)
-                            .u64("wo", p.src_w as u64)
-                            .u64("bi", p.bi as u64)
-                            .u64("bj", p.bj as u64)
-                            .u64("dh", dh as u64)
-                            .build(),
-                    );
-                }
+        // ascending source worker): one `xfer` round peer-to-peer.
+        let mut per_src: BTreeMap<usize, JsonArr> = BTreeMap::new();
+        for p in partials {
+            let sh = self.assignment[p.src_w];
+            let dh = self.assignment[p.dest_w];
+            if sh != dh {
+                let arr = per_src.entry(sh).or_default();
+                let taken = std::mem::take(arr);
+                *arr = taken.raw(
+                    &JsonObj::new()
+                        .u64("wi", p.src_w as u64)
+                        .u64("wo", p.src_w as u64)
+                        .u64("bi", p.bi as u64)
+                        .u64("bj", p.bj as u64)
+                        .u64("dh", dh as u64)
+                        .build(),
+                );
             }
-            let cmds: Vec<(usize, Outgoing)> = per_src
-                .into_iter()
-                .map(|(host, arr)| {
-                    (
-                        host,
-                        Outgoing::Json(
-                            JsonObj::new()
-                                .str("t", "xfer")
-                                .u64("rid_in", stage)
-                                .u64("rid_out", stage)
-                                .str("tr", "none")
-                                .raw("items", &arr.build()),
-                        ),
-                    )
-                })
-                .collect();
-            let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-            let replies = self.exchange("xfer", cmds)?;
-            for (host, reply) in hosts.iter().zip(&replies) {
-                self.take_xferred(*host, reply)?;
-            }
-        } else {
-            let mut relays: BTreeMap<(usize, usize), Vec<RelayItem>> = BTreeMap::new();
-            for p in partials {
-                let sh = self.assignment[p.src_w];
-                let dh = self.assignment[p.dest_w];
-                if sh != dh {
-                    relays
-                        .entry((sh, dh))
-                        .or_default()
-                        .push((p.src_w, p.src_w, p.bi, p.bj));
-                }
-            }
-            for ((sh, dh), items) in relays {
-                self.relay(stage, stage, TileTransform::None, sh, dh, &items)?;
-            }
+        }
+        let cmds: Vec<(usize, Outgoing)> = per_src
+            .into_iter()
+            .map(|(host, arr)| {
+                (
+                    host,
+                    Outgoing::Json(
+                        JsonObj::new()
+                            .str("t", "xfer")
+                            .u64("rid_in", stage)
+                            .u64("rid_out", stage)
+                            .str("tr", "none")
+                            .raw("items", &arr.build()),
+                    ),
+                )
+            })
+            .collect();
+        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
+        let replies = self.exchange("xfer", cmds)?;
+        for (host, reply) in hosts.iter().zip(&replies) {
+            self.take_xferred(*host, reply)?;
         }
 
         // Phase 2 (one round): combine at the owners in ascending source
@@ -1495,14 +1316,9 @@ impl Transport for SocketTransport {
             rids = rids.u64(leaf.rid());
         }
         let rids = rids.build();
-        // Binary mode ships the scalar constants as a raw f64 body
-        // section referenced by slot index; JSON fallback inlines hex.
-        let (prog_json, consts) = if self.bin {
-            let (p, c) = wire::encode_prog_indexed(prog);
-            (p, Some(c))
-        } else {
-            (wire::encode_prog(prog), None)
-        };
+        // Scalar constants travel as a raw f64 body section referenced
+        // by slot index; a program without constants is a JSON command.
+        let (prog_json, consts) = wire::encode_prog_indexed(prog);
         let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
         let mut seals: Vec<Option<usize>> = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
@@ -1527,9 +1343,10 @@ impl Transport for SocketTransport {
                     .raw("prog", &prog_json)
                     .u64("rid_out", out.rid())
                     .raw("tasks", &tasks.build());
-                let cmd = match &consts {
-                    Some(c) if !c.is_empty() => Outgoing::Bin(head, binfmt::encode_f64s(c)),
-                    _ => Outgoing::Json(head),
+                let cmd = if consts.is_empty() {
+                    Outgoing::Json(head)
+                } else {
+                    Outgoing::Bin(head, binfmt::encode_f64s(&consts))
                 };
                 cmds.push((host, cmd));
                 seals.push(None);
@@ -1756,7 +1573,7 @@ impl Transport for SocketTransport {
     }
 
     fn poll_liveness(&mut self) -> Vec<usize> {
-        let liveness = Duration::from_millis(self.opts.liveness_timeout_ms);
+        let liveness = Duration::from_millis(LIVENESS_TIMEOUT_MS);
         let mut newly = Vec::new();
         for host in 0..self.conns.len() {
             if self.reported.contains(&host) {

@@ -13,7 +13,7 @@
 //!
 //! Length-prefixed frames ([`crate::transport::frame`]). On connect the
 //! worker binds a peer listen socket and sends
-//! `{"t":"hello","host":H,"pid":P,"peer":"127.0.0.1:N","bin":1}`, then
+//! `{"t":"hello","host":H,"pid":P,"peer":"127.0.0.1:N"}`, then
 //! answers each command frame with exactly one reply frame. Commands
 //! carry a per-connection sequence number `"q"` which every reply
 //! echoes, so the coordinator's pipelined dispatch can discard stale
@@ -25,12 +25,12 @@
 //! exits when the coordinator closes the connection, sends `shutdown`,
 //! or the stream desyncs.
 //!
-//! After membership the coordinator sends a `mode` command selecting
-//! the tile codec (binary [`crate::transport::binfmt`] messages vs
-//! hex-JSON) and distributing the peer address table. Control messages
-//! are always JSON; in binary mode bulk tile payload (`install` bodies,
-//! `collect` replies, peer pushes, fused scalar constants) travels as
-//! `DMB1` messages on the same envelope.
+//! After membership the coordinator sends a `mode` command distributing
+//! the peer address table. Control messages are JSON; bulk tile payload
+//! (`install` bodies, `collect` replies, peer pushes, fused scalar
+//! constants) travels as binary [`crate::transport::binfmt`] `DMB1`
+//! messages on the same envelope. A tile-carrying frame without a
+//! binary body is rejected with an `err` reply.
 //!
 //! ## Direct worker-to-worker exchange
 //!
@@ -101,8 +101,6 @@ struct Worker {
     store: Arc<Mutex<Store>>,
     pool: ResultBufferPool,
     host: usize,
-    /// Binary tile codec negotiated (via `mode`).
-    bin: bool,
     /// Peer listener address per host id (`""` for self / unknown).
     peers: Vec<String>,
     /// Cached connections to peer listeners, by host id.
@@ -150,7 +148,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         .u64("host", opts.host_id as u64)
         .u64("pid", u64::from(std::process::id()))
         .str("peer", &peer_addr)
-        .u64("bin", 1)
         .build();
     send(&writer, &hello)?;
 
@@ -177,7 +174,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         store,
         pool: ResultBufferPool::new(4),
         host: opts.host_id,
-        bin: false,
         peers: Vec::new(),
         peer_conns: HashMap::new(),
         peer_timeout: Duration::from_millis(2000),
@@ -292,30 +288,27 @@ fn peer_serve(mut stream: TcpStream, store: Arc<Mutex<Store>>) {
     }
 }
 
-/// Decode one pushed tile batch (binary or JSON) and install it.
-fn install_push(raw: &[u8], store: &Arc<Mutex<Store>>) -> Result<(), String> {
-    let mut installed: Vec<(usize, usize, usize, Block)>;
-    let rid;
-    if binfmt::is_binary(raw) {
-        let (head, body) = binfmt::decode(raw)?;
-        let head = Json::parse(head).map_err(|e| format!("push header: {e}"))?;
-        if head.get("t").and_then(Json::as_str) != Some("push") {
-            return Err("peer frame is not a push".into());
-        }
-        rid = wire::field_u64(&head, "rid")?;
-        installed = binfmt::decode_tiles(body)?;
-    } else {
-        let text = std::str::from_utf8(raw).map_err(|_| "push frame is not UTF-8".to_string())?;
-        let head = Json::parse(text).map_err(|e| format!("push frame: {e}"))?;
-        if head.get("t").and_then(Json::as_str) != Some("push") {
-            return Err("peer frame is not a push".into());
-        }
-        rid = wire::field_u64(&head, "rid")?;
-        installed = Vec::new();
-        for t in wire::field_arr(&head, "tiles")? {
-            installed.push(wire::decode_tile(t)?);
-        }
+/// A decoded peer `push`: the destination rid and its placed tiles.
+pub type Push = (u64, Vec<(usize, usize, usize, Block)>);
+
+/// Decode one peer `push` frame: a binary `DMB1` message whose header is
+/// `{"t":"push","rid":R}` and whose body is a tile section. Anything
+/// else — including a JSON frame with no binary body — is a typed error.
+pub fn decode_push(raw: &[u8]) -> Result<Push, String> {
+    if !binfmt::is_binary(raw) {
+        return Err("push frame carries no binary tile body".into());
     }
+    let (head, body) = binfmt::decode(raw)?;
+    let head = Json::parse(head).map_err(|e| format!("push header: {e}"))?;
+    if head.get("t").and_then(Json::as_str) != Some("push") {
+        return Err("peer frame is not a push".into());
+    }
+    Ok((wire::field_u64(&head, "rid")?, binfmt::decode_tiles(body)?))
+}
+
+/// Decode one pushed tile batch and install it.
+fn install_push(raw: &[u8], store: &Arc<Mutex<Store>>) -> Result<(), String> {
+    let (rid, installed) = decode_push(raw)?;
     let mut store = store.lock().map_err(|_| "store poisoned".to_string())?;
     for (w, bi, bj, block) in installed {
         store.entry((rid, w)).or_default().insert((bi, bj), block);
@@ -379,9 +372,8 @@ impl Worker {
         }
     }
 
-    /// Adopt the negotiated codec and the peer address table.
+    /// Adopt the peer address table.
     fn mode(&mut self, cmd: &Json) -> Result<Reply, String> {
-        self.bin = wire::field_u64(cmd, "bin")? != 0;
         self.peers = wire::field_arr(cmd, "peers")?
             .iter()
             .map(|p| p.as_str().unwrap_or("").to_string())
@@ -393,15 +385,10 @@ impl Worker {
 
     fn install(&mut self, cmd: &Json, body: &[u8]) -> Result<Reply, String> {
         let rid = wire::field_u64(cmd, "rid")?;
-        let decoded: Vec<(usize, usize, usize, Block)> = if body.is_empty() {
-            let mut v = Vec::new();
-            for t in wire::field_arr(cmd, "tiles")? {
-                v.push(wire::decode_tile(t)?);
-            }
-            v
-        } else {
-            binfmt::decode_tiles(body)?
-        };
+        if body.is_empty() {
+            return Err("install carries no binary tile body".into());
+        }
+        let decoded = binfmt::decode_tiles(body)?;
         let mut store = self.lock()?;
         for (w, bi, bj, block) in decoded {
             store.entry((rid, w)).or_default().insert((bi, bj), block);
@@ -454,7 +441,6 @@ impl Worker {
         // (dest host) → encoded tiles, plus per-item source-byte receipts.
         let mut bytes = Vec::with_capacity(items.len());
         let mut groups: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-        let mut json_groups: BTreeMap<usize, JsonArr> = BTreeMap::new();
         {
             let store = self.lock()?;
             for item in items {
@@ -466,41 +452,17 @@ impl Worker {
                 let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
                 bytes.push(src.actual_bytes() as u64);
                 let (di, dj) = tr.dest_key(bi, bj);
-                let moved = tr.apply(src);
-                if self.bin {
-                    let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
-                    binfmt::push_tile(buf, wo, di, dj, &moved);
-                    let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
-                    buf[..4].copy_from_slice(&n.to_le_bytes());
-                } else {
-                    let arr = json_groups.entry(dh).or_default();
-                    let taken = std::mem::take(arr);
-                    *arr = taken.raw(&wire::encode_tile(wo, di, dj, &moved));
-                }
+                let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
+                binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
+                let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
+                buf[..4].copy_from_slice(&n.to_le_bytes());
             }
         }
         // Lock released: push each destination's batch and await acks.
         let mut edges = JsonArr::new();
         let header = JsonObj::new().str("t", "push").u64("rid", rid_out).build();
-        let payloads: Vec<(usize, Vec<u8>)> = if self.bin {
-            groups
-                .into_iter()
-                .map(|(dh, body)| (dh, binfmt::encode(&header, &body)))
-                .collect()
-        } else {
-            json_groups
-                .into_iter()
-                .map(|(dh, arr)| {
-                    let msg = JsonObj::new()
-                        .str("t", "push")
-                        .u64("rid", rid_out)
-                        .raw("tiles", &arr.build())
-                        .build();
-                    (dh, msg.into_bytes())
-                })
-                .collect()
-        };
-        for (dh, payload) in payloads {
+        for (dh, body) in groups {
+            let payload = binfmt::encode(&header, &body);
             match self.push_to(dh, &payload) {
                 Ok(ack_len) => {
                     edges = edges.raw(
@@ -576,30 +538,16 @@ impl Worker {
     fn collect(&self, cmd: &Json) -> Result<Reply, String> {
         let rid = wire::field_u64(cmd, "rid")?;
         let store = self.lock()?;
-        if self.bin {
-            let mut body = vec![0u8; 4];
-            let mut count = 0u32;
-            for item in wire::field_arr(cmd, "items")? {
-                let (w, bi, bj) = task_triple(item)?;
-                let t = tile_of(&store, self.host, rid, w, bi, bj)?;
-                binfmt::push_tile(&mut body, w, bi, bj, t);
-                count += 1;
-            }
-            body[..4].copy_from_slice(&count.to_le_bytes());
-            Ok(Reply::Bin(JsonObj::new().str("t", "tiles"), body))
-        } else {
-            let mut tiles = JsonArr::new();
-            for item in wire::field_arr(cmd, "items")? {
-                let (w, bi, bj) = task_triple(item)?;
-                let t = tile_of(&store, self.host, rid, w, bi, bj)?;
-                tiles = tiles.raw(&wire::encode_tile(w, bi, bj, t));
-            }
-            Ok(Reply::Json(
-                JsonObj::new()
-                    .str("t", "tiles")
-                    .raw("tiles", &tiles.build()),
-            ))
+        let mut body = vec![0u8; 4];
+        let mut count = 0u32;
+        for item in wire::field_arr(cmd, "items")? {
+            let (w, bi, bj) = task_triple(item)?;
+            let t = tile_of(&store, self.host, rid, w, bi, bj)?;
+            binfmt::push_tile(&mut body, w, bi, bj, t);
+            count += 1;
         }
+        body[..4].copy_from_slice(&count.to_le_bytes());
+        Ok(Reply::Bin(JsonObj::new().str("t", "tiles"), body))
     }
 
     fn seal(&self, cmd: &Json) -> Result<Reply, String> {
@@ -686,14 +634,14 @@ impl Worker {
     fn fused(&mut self, cmd: &Json, body: &[u8]) -> Result<Reply, String> {
         let rids = wire::field_usize_arr(cmd, "rids")?;
         let rid_out = wire::field_u64(cmd, "rid_out")?;
-        // Binary mode ships scalar constants as a raw f64 body section,
-        // referenced by slot index; the JSON fallback inlines hex.
-        let prog = if body.is_empty() {
-            wire::decode_prog(wire::field_arr(cmd, "prog")?)?
+        // Scalar constants ride a raw f64 body section, referenced by
+        // slot index; a program without constants comes with no body.
+        let consts = if body.is_empty() {
+            Vec::new()
         } else {
-            let consts = binfmt::decode_f64s(body)?;
-            wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?
+            binfmt::decode_f64s(body)?
         };
+        let prog = wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?;
         let mut store = self.lock()?;
         for task in wire::field_arr(cmd, "tasks")? {
             let (w, bi, bj) = task_triple(task)?;

@@ -110,7 +110,7 @@ impl ExecReport {
     /// recovery and buffer-pool counters, and the trace's byte totals.
     /// Used by the `dmac-serve` `Stats` response and the bench bins.
     pub fn to_json(&self) -> String {
-        use crate::json::{arr_of, JsonObj};
+        use dmac_cluster::json::{arr_of, JsonObj};
         let phases = arr_of(self.per_phase.iter().map(|p| {
             JsonObj::new()
                 .f64("compute_sec", p.compute_sec)

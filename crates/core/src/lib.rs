@@ -50,7 +50,6 @@ pub mod disk;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod json;
 pub mod liveness;
 pub mod plan;
 pub mod planner;

@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use dmac_cluster::OpSpan;
 use dmac_matrix::exec::PoolStats;
 
-use crate::json::{escape as json_str, JsonObj};
+use dmac_cluster::json::{escape as json_str, JsonObj};
 
 /// Execution record of one plan step.
 #[derive(Debug, Clone, Default)]

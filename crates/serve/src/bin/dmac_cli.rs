@@ -250,7 +250,7 @@ fn lint_remote(cli: &mut Client, script: &str, json_out: bool) -> bool {
 
 /// Re-encode a wire diagnostic as one JSON object.
 fn wire_diag_json(d: &dmac_serve::protocol::WireDiagnostic) -> String {
-    let mut o = dmac_core::json::JsonObj::new()
+    let mut o = dmac_cluster::json::JsonObj::new()
         .str("severity", &d.severity)
         .str("code", &d.code);
     if let Some(line) = d.line {
@@ -271,8 +271,8 @@ fn render(v: &dmac_serve::Json) -> String {
     match v {
         Json::Null => "null".into(),
         Json::Bool(b) => b.to_string(),
-        Json::Num(n) => dmac_core::json::number(*n),
-        Json::Str(s) => dmac_core::json::escape(s),
+        Json::Num(n) => dmac_cluster::json::number(*n),
+        Json::Str(s) => dmac_cluster::json::escape(s),
         Json::Arr(items) => {
             let inner: Vec<String> = items.iter().map(render).collect();
             format!("[{}]", inner.join(","))
@@ -280,7 +280,7 @@ fn render(v: &dmac_serve::Json) -> String {
         Json::Obj(map) => {
             let inner: Vec<String> = map
                 .iter()
-                .map(|(k, v)| format!("{}:{}", dmac_core::json::escape(k), render(v)))
+                .map(|(k, v)| format!("{}:{}", dmac_cluster::json::escape(k), render(v)))
                 .collect();
             format!("{{{}}}", inner.join(","))
         }

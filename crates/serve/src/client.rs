@@ -5,6 +5,8 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use dmac_cluster::jsonin::Json;
+
 use crate::protocol::{read_frame, write_frame, ProgramResult, Request, Response, WireDiagnostic};
 
 /// Client-side failures.
@@ -147,7 +149,7 @@ impl Client {
     }
 
     /// Fetch the stats document.
-    pub fn stats(&mut self) -> Result<crate::jsonin::Json> {
+    pub fn stats(&mut self) -> Result<Json> {
         match self.request(&Request::Stats)? {
             Response::Stats(v) => Ok(v),
             other => Err(ClientError::Proto(format!("unexpected response {other:?}"))),

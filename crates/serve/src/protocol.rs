@@ -14,8 +14,8 @@
 //! too with shortest-round-trip formatting, but hex makes the
 //! intent unmissable and parsing trivial.
 
-use crate::jsonin::Json;
-use dmac_core::json::{arr_of, JsonArr, JsonObj};
+use dmac_cluster::json::{arr_of, JsonArr, JsonObj};
+use dmac_cluster::jsonin::Json;
 
 // The frame codec moved to `dmac_cluster::transport::frame` so the
 // coordinator ↔ dmac-workerd transport can share it; re-exported here

@@ -49,8 +49,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dmac_analyze::{lint_script, Diagnostic};
+use dmac_cluster::json::{arr_of, JsonArr, JsonObj};
 use dmac_cluster::SocketOptions;
-use dmac_core::json::{arr_of, JsonArr, JsonObj};
 use dmac_core::{CoreError, Session, SharedStore};
 use dmac_lang::normalize::fnv1a;
 use dmac_lang::program::MatrixOrigin;
@@ -72,9 +72,6 @@ pub struct ServerConfig {
     /// latency (process launch) for a live conformance check on every
     /// operation.
     pub real_cluster: bool,
-    /// Data-plane tuning for `real_cluster` sessions (codec, topology,
-    /// dispatch pipelining). Ignored on the simulator backend.
-    pub socket_options: SocketOptions,
     /// Local compute threads per session's cluster.
     pub local_threads: usize,
     /// Block size for every session.
@@ -105,7 +102,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             real_cluster: false,
-            socket_options: SocketOptions::default(),
             local_threads: 2,
             block_size: 16,
             seed: 7,
@@ -207,7 +203,7 @@ impl State {
             .seed(self.cfg.seed)
             .store(self.store.clone());
         if self.cfg.real_cluster {
-            b = b.socket_transport(self.cfg.socket_options);
+            b = b.socket_transport(SocketOptions::default());
         }
         // Launching worker processes can fail; surface it as this
         // request's error instead of poisoning the session map.

@@ -20,6 +20,11 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> cargo check perfbench (outside the workspace, uses the public API)"
+# perfbench is its own cargo workspace, so the workspace build above
+# cannot see it break; type-check it against the current sources.
+CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (no deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
@@ -42,11 +47,12 @@ echo "==> real-cluster smoke (4 dmac-workerd processes, GNMF + PageRank)"
 # or leaked worker processes.
 cargo run --release -q -p dmac-bench --bin cluster_smoke > /dev/null
 
-echo "==> transport data-plane benchmark (binary+p2p vs hex-JSON star, writes BENCH_transport.json)"
-# Exits non-zero if the binary peer-to-peer data plane ships more than
-# 60% of the hex-JSON star baseline's wire bytes (the claim is a >=40%
-# cut), if any tile byte crosses the coordinator relay in p2p mode, or
-# if either socket run diverges from the simulator by a single bit.
+echo "==> transport data-plane benchmark (4 real workers, pinned wire-byte caps, writes BENCH_transport.json)"
+# Exits non-zero if the total bytes on all links (coordinator frames +
+# peer frames, heartbeats included) exceed 285,319 B for GNMF or
+# 80,377 B for PageRank (60% of the deleted hex-JSON star plane's
+# bytes), if any tile byte crosses the coordinator, or if either socket
+# run diverges from the simulator by a single bit.
 cargo run --release -q -p dmac-bench --bin transport > /dev/null
 
 echo "==> deterministic failure schedule (fixed seed, twice)"

@@ -14,8 +14,8 @@
 use std::io::ErrorKind;
 
 use dmac::cluster::jsonin::Json;
-use dmac::cluster::transport::binfmt;
 use dmac::cluster::transport::frame::{read_frame, write_frame, MAX_FRAME};
+use dmac::cluster::transport::{binfmt, workerd};
 use dmac::matrix::{Block, CscBlock, DenseBlock, SplitMix64};
 
 /// A printable-ish random payload (valid UTF-8 by construction).
@@ -294,4 +294,32 @@ fn mutated_commands_fail_typed() {
             let _ = Json::parse(&s); // Ok or Err(JsonError) — both fine; a panic fails the test
         }
     }
+}
+
+/// Tiles travel only as binary `DMB1` sections: a peer `push` frame with
+/// no binary body — the retired hex-JSON tile form, as written or with
+/// any byte mutated — decodes to a typed error, never a panic, while
+/// the same tiles as a binary push decode cleanly.
+#[test]
+fn json_tile_push_frames_are_rejected_typed() {
+    let json = r#"{"t":"push","rid":9,"tiles":[{"w":0,"bi":1,"bj":2,"k":"d","r":1,"c":1,"d":"3ff0000000000000"}]}"#;
+    assert!(workerd::decode_push(json.as_bytes()).is_err());
+    let mut rng = SplitMix64::new(0xF4A3_000C);
+    for _ in 0..500 {
+        let mut bytes = json.as_bytes().to_vec();
+        let at = rng.below(bytes.len());
+        bytes[at] = rng.next_u64() as u8;
+        assert!(workerd::decode_push(&bytes).is_err());
+    }
+    // A binary push whose body is empty is not a tile section either.
+    let empty = binfmt::encode(r#"{"t":"push","rid":9}"#, &[]);
+    assert!(workerd::decode_push(&empty).is_err());
+
+    let tile = Block::Dense(DenseBlock::from_vec(1, 1, vec![1.0]).unwrap());
+    let body = binfmt::encode_tiles([(0, 1, 2, &tile)]);
+    let msg = binfmt::encode(r#"{"t":"push","rid":9}"#, &body);
+    let (rid, tiles) = workerd::decode_push(&msg).expect("binary push must decode");
+    assert_eq!(rid, 9);
+    assert_eq!(tiles.len(), 1);
+    assert_eq!((tiles[0].0, tiles[0].1, tiles[0].2), (0, 1, 2));
 }

@@ -45,7 +45,7 @@ const STORE_X: &str = "B = random(B, 48, 48)\nC = B %*% B\nX = C * B\nstore(X)\n
 /// A second tenant matrix under a different name.
 const STORE_Y: &str = "R = random(R, 32, 32)\nY = R + R\nstore(Y)\n";
 
-fn u64_at(stats: &dmac::serve::jsonin::Json, path: &[&str]) -> u64 {
+fn u64_at(stats: &dmac::cluster::jsonin::Json, path: &[&str]) -> u64 {
     let mut v = stats;
     for k in path {
         v = v.get(k).unwrap_or_else(|| panic!("stats missing {k}"));
